@@ -1,8 +1,8 @@
-"""PR 3 throughput tier: parallel KDF, batched evaluation, fused narrow
-levels and the vectorized folded path.
+"""PR 3 throughput tier: parallel KDF, batched evaluation and fused
+narrow levels.
 
-Four measurements, one per tentpole piece, each recorded as a ``pr: 3``
-entry of the repo-root perf trajectory (``BENCH_engine.json``):
+Three measurements, each recorded as a ``pr: 3`` entry of the repo-root
+perf trajectory (``BENCH_engine.json``):
 
 * ``pr3-parallel-kdf`` — ``ParallelKDF`` worker scaling on a wide DL
   garble (thread-split ``hash_many`` row blocks);
@@ -10,10 +10,11 @@ entry of the repo-root perf trajectory (``BENCH_engine.json``):
   sequential vectorized evaluations (one schedule walk for the batch;
   narrow levels become wide at ``k * m``);
 * ``pr3-fused-narrow-levels`` — the fused multi-level scalar runner on a
-  ripple-chain circuit vs per-level dispatch;
-* ``pr3-folded-vectorized`` — ``SequentialSession`` with the carried
-  label plane (and the Fig. 5 garble/evaluate overlap) vs the scalar
-  reference on the folded MAC core.
+  ripple-chain circuit vs per-level dispatch.
+
+The fourth PR 3 entry, ``pr3-folded-vectorized``, compared the scalar,
+vectorized and pipelined folded sessions; the scalar and pipelined
+session paths are gone, so its trajectory entry is history only.
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 Speedup floors are env-tunable (CI runners get relaxed bars); the
@@ -27,21 +28,18 @@ import time
 import pytest
 
 from repro.analysis import build_gate_chain
-from repro.circuits import FixedPointFormat, bits_from_int
+from repro.circuits import FixedPointFormat
 from repro.cli import _demo_service
-from repro.compile import folded_mac_cell
 from repro.gc import (
     Evaluator,
     FastEvaluator,
     FastGarbler,
     HashKDF,
     ParallelKDF,
-    SequentialSession,
     garble_many,
 )
 from repro.gc.fastgarble import garble_copies
 from repro.gc.labels import ArrayLabelStore
-from repro.gc.ot import TEST_GROUP_512
 
 from _bench_util import quick_mode, record_trajectory, write_report
 
@@ -57,11 +55,6 @@ BATCH_EVAL_VS_FAST_FLOOR = float(
 KDF_FLOOR = float(os.environ.get("REPRO_BENCH_KDF_FLOOR", "1.5"))
 #: fused narrow runner vs per-level dispatch (must never lose).
 FUSE_FLOOR = float(os.environ.get("REPRO_BENCH_FUSE_FLOOR", "1.0"))
-#: vectorized folded session vs the scalar reference.  The MAC core is
-#: mostly narrow levels, so the engine win is modest (~1.1x) and noisy
-#: single-core hosts can flip a strict 1.0 bar; the recorded trajectory
-#: number plus the CI regression comparator carry the real signal.
-FOLDED_FLOOR = float(os.environ.get("REPRO_BENCH_FOLDED_FLOOR", "0.9"))
 
 FMT = FixedPointFormat(2, 6)
 
@@ -277,75 +270,4 @@ def test_fused_narrow_levels(results_dir):
     )
     assert speedup >= FUSE_FLOOR, (
         f"fused narrow runner {speedup:.2f}x (floor {FUSE_FLOOR}x)"
-    )
-
-
-def test_folded_vectorized_session(results_dir):
-    """Carried label plane + Fig. 5 overlap (tentpole piece 4).
-
-    Session wall time is OT-dominated (IKNP base OTs per cycle), so the
-    engine comparison uses the session's own per-cycle garble/evaluate
-    clocks; wall times are recorded alongside for the pipeline overlap.
-    """
-    fmt = FixedPointFormat(3, 12)  # the paper's 1.3.12 MAC datapath
-    cell = folded_mac_cell(fmt, fan_in=16)
-    cycles = 6 if quick_mode() else 16
-    width = cell.core.n_alice
-    alice = [bits_from_int(3 + i, width) for i in range(cycles)]
-    bob = [bits_from_int(2 * i + 1, cell.core.n_bob) for i in range(cycles)]
-    rounds = 1 if quick_mode() else 3
-
-    def run(vectorized, pipelined=False):
-        session = SequentialSession(
-            cell, ot_group=TEST_GROUP_512, rng=random.Random(9),
-            vectorized=vectorized, pipelined=pipelined,
-        )
-        start = time.perf_counter()
-        result = session.run(alice, bob, cycles=cycles)
-        wall = time.perf_counter() - start
-        engine = sum(result.garble_times) + sum(result.evaluate_times)
-        return wall, engine, result
-
-    runs_scalar = [run(False) for _ in range(rounds)]
-    runs_vector = [run(True) for _ in range(rounds)]
-    runs_pipe = [run(True, True) for _ in range(rounds)]
-    scalar_engine = min(r[1] for r in runs_scalar)
-    vector_engine = min(r[1] for r in runs_vector)
-    scalar_wall = min(r[0] for r in runs_scalar)
-    vector_wall = min(r[0] for r in runs_vector)
-    pipe_wall = min(r[0] for r in runs_pipe)
-    # bit-exactness across all three modes (same rng stream)
-    ref, vec, pipe = runs_scalar[0][2], runs_vector[0][2], runs_pipe[0][2]
-    assert ref.outputs_per_cycle == vec.outputs_per_cycle
-    assert ref.outputs_per_cycle == pipe.outputs_per_cycle
-    assert ref.comm == vec.comm == pipe.comm
-
-    speedup = scalar_engine / vector_engine
-    text = (
-        f"folded MAC core {fmt.describe()}, {cycles} cycles "
-        f"({cell.core.counts().non_xor} tables/cycle):\n"
-        f"scalar garble+evaluate:     {scalar_engine:.3f} s "
-        f"(wall {scalar_wall:.3f} s)\n"
-        f"vectorized garble+evaluate: {vector_engine:.3f} s "
-        f"(wall {vector_wall:.3f} s) — {speedup:.2f}x\n"
-        f"+ Fig.5 pipeline wall:      {pipe_wall:.3f} s"
-    )
-    write_report(results_dir, "folded_vectorized", text)
-    record_trajectory(
-        "pr3-folded-vectorized",
-        {
-            "pr": 3,
-            "circuit": f"folded-mac-{fmt.describe()}",
-            "cycles": cycles,
-            "scalar_engine_s": round(scalar_engine, 6),
-            "vectorized_engine_s": round(vector_engine, 6),
-            "scalar_wall_s": round(scalar_wall, 6),
-            "vectorized_wall_s": round(vector_wall, 6),
-            "pipelined_wall_s": round(pipe_wall, 6),
-            "folded_speedup": round(speedup, 3),
-            "quick_mode": quick_mode(),
-        },
-    )
-    assert speedup >= FOLDED_FLOOR, (
-        f"vectorized folded session {speedup:.2f}x (floor {FOLDED_FLOOR}x)"
     )

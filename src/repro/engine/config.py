@@ -57,9 +57,6 @@ class EngineConfig:
         ot_group: group for base OTs (production default MODP-2048).
         rng: randomness source (``secrets``, or a seeded
             ``random.Random`` for reproducible runs).
-        vectorized: drive the level-scheduled NumPy garbling engine
-            (default; bit-exact with the scalar path — disable only to
-            compare against the gate-at-a-time reference).
         kdf_workers: worker threads for the batched garbling oracle.
             ``1`` (default) hashes inline; ``> 1`` wraps the KDF in a
             :class:`repro.gc.cipher.ParallelKDF` that splits each
@@ -89,7 +86,7 @@ class EngineConfig:
             attempt, with seeded jitter from the service rng.
         breaker_threshold: consecutive backend failures that trip the
             per-backend circuit breaker (degraded serving: pooled falls
-            back to cold garbling, batched to scalar).
+            back to cold garbling, batched to request-at-a-time).
         breaker_cooldown_s: seconds a tripped breaker stays open before
             a half-open probe is allowed.
         fault_plan: optional :class:`repro.resilience.FaultPlan` — the
@@ -126,7 +123,6 @@ class EngineConfig:
     kdf_backend: str = "auto"
     ot_group: OTGroup = MODP_2048
     rng: Any = secrets
-    vectorized: bool = True
     kdf_workers: int = 1
     pool_size: int = 0
     pool_refill: str = "opportunistic"

@@ -2,9 +2,10 @@
 
 Labels and Δ must come from an *injected* rng (``secrets`` in
 production, a seeded ``random.Random`` in tests) so that draw order is
-explicit — the pipelined folded path (Fig. 5) and seed-deterministic
-cut-and-choose re-garbling are only correct because every draw flows
-through the object handed in via ``repro/gc/rng.py`` adapters.  Module-
+explicit — bit-exactness against the scalar reference and
+seed-deterministic cut-and-choose re-garbling are only correct because
+every draw flows through the object handed in via ``repro/gc/rng.py``
+adapters.  Module-
 global RNG state (``random.randint``, ``np.random.seed``, legacy
 ``np.random.*`` draws) breaks both properties silently, so inside
 ``repro/gc/`` and ``repro/circuits/`` it is banned outright.

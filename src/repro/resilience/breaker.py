@@ -2,7 +2,7 @@
 
 When a backend keeps failing (pool poisoned, transport flapping), the
 service should stop hammering it and serve degraded — pooled falls back
-to cold garbling, batched falls back to scalar — until the backend
+to cold garbling, batched to request-at-a-time — until the backend
 proves itself healthy again.  :class:`CircuitBreaker` implements the
 classic three-state machine:
 

@@ -13,10 +13,6 @@ offline/online split — :meth:`PrivateInferenceService.prepare` garbles a
 pool of circuit copies ahead of requests so the online path pays only
 transfer + OT + evaluate + merge.  :meth:`infer_many` serves concurrent
 requests from a thread pool.
-
-Legacy surface: the seed's ``PrivateInferenceService(model, fmt=...,
-options=..., ...)`` construction and ``infer(sample, outsourced=True)``
-keep working as thin deprecation shims over the new API.
 """
 
 from __future__ import annotations
@@ -24,30 +20,23 @@ from __future__ import annotations
 import dataclasses
 import random
 import threading
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .circuits.fixedpoint import FixedPointFormat
-from .compile.compiler import CompiledModel, CompileOptions, compile_model
+from .compile.compiler import CompiledModel, compile_model
 from .compile.costmodel import CostBreakdown, GCCostModel
 from .engine import Backend, EngineConfig, PregarbledPool, get_backend
 from .engine.result import ExecutionResult
-from .errors import (
-    BatchInferenceError,
-    CompileError,
-    ServiceDrainingError,
-    ServiceOverloadedError,
-)
+from .errors import BatchInferenceError, CompileError
 from .gc.channel import make_channel_pair
-from .gc.cipher import HashKDF, default_kdf
-from .gc.ot import OTGroup
+from .gc.cipher import default_kdf
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
+    AdmissionGate,
     CircuitBreaker,
     RetryPolicy,
     fault_category,
@@ -58,14 +47,8 @@ from .resilience import (
 __all__ = [
     "InferenceRequest",
     "InferenceResult",
-    "InferenceRecord",
     "PrivateInferenceService",
 ]
-
-#: History cap applied when a service is built through the legacy
-#: keyword shim (the seed recorded every inference; new-style configs
-#: opt in explicitly via ``EngineConfig.history_limit``).
-_LEGACY_HISTORY_LIMIT = 512
 
 
 @dataclasses.dataclass
@@ -129,50 +112,23 @@ class InferenceResult:
         return sum(self.times.values())
 
 
-#: Deprecated alias — the seed's name for :class:`InferenceResult`.
-InferenceRecord = InferenceResult
-
-
 class PrivateInferenceService:
     """A server-side service object for DeepSecure-style inference.
 
     Args:
         model: the trained float model (the server's private asset).
-        config: the full execution configuration.  When omitted, one is
-            assembled from the legacy keywords below (deprecated path).
-        fmt / options / kdf / ot_group / rng: seed-era knobs, kept as a
-            deprecation shim (the seed's positional order ``model, fmt,
-            options, kdf, ot_group, rng`` still binds); pass ``config``
-            instead.
+        config: the full execution configuration (default
+            ``EngineConfig()``).
     """
 
     def __init__(
-        self,
-        model: Sequential,
-        config: Optional[EngineConfig] = None,
-        options: Optional[CompileOptions] = None,
-        kdf: Optional[HashKDF] = None,
-        ot_group: Optional[OTGroup] = None,
-        rng=None,
-        *,
-        fmt: Optional[FixedPointFormat] = None,
+        self, model: Sequential, config: Optional[EngineConfig] = None
     ) -> None:
-        if isinstance(config, FixedPointFormat):
-            # seed-era positional call: PrivateInferenceService(model, fmt, ...)
-            if fmt is not None:
-                raise CompileError("fixed-point format given twice")
-            config, fmt = None, config
-        legacy = [fmt, options, kdf, ot_group, rng]
         if config is None:
-            config = self._config_from_legacy(fmt, options, kdf, ot_group, rng)
+            config = EngineConfig()
         elif not isinstance(config, EngineConfig):
             raise CompileError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
-            )
-        elif any(arg is not None for arg in legacy):
-            raise CompileError(
-                "pass either config=EngineConfig(...) or the legacy "
-                "keywords, not both"
             )
         if config.output != "argmax":
             raise CompileError("the service API serves labels (argmax)")
@@ -196,9 +152,7 @@ class PrivateInferenceService:
         # admission control + graceful drain: a bounded in-flight budget
         # sheds overload with a typed permanent error, and close() waits
         # for admitted work to finish before tearing the pool down
-        self._cond = threading.Condition(self._lock)
-        self._inflight = 0
-        self._closing = False
+        self._admission = AdmissionGate(config.max_inflight)
         # transport + resilience wiring: the channel factory decides how
         # frames move (in-memory deques or the wire codec over kernel
         # socketpairs) and injects the configured fault plan into every
@@ -237,9 +191,6 @@ class PrivateInferenceService:
             "retries": 0,
             "transient_faults": 0,
             "degraded": 0,
-            "shed_requests": 0,
-            "drained_requests": 0,
-            "aborted_requests": 0,
             "by_backend": {},
         }
         # the pool is created at its configured capacity but stays cold:
@@ -248,38 +199,6 @@ class PrivateInferenceService:
         self._pool: Optional[PregarbledPool] = (
             self._make_pool(config.pool_size) if config.pool_size > 0 else None
         )
-
-    @staticmethod
-    def _config_from_legacy(fmt, options, kdf, ot_group, rng) -> EngineConfig:
-        """Map seed-era constructor keywords onto an :class:`EngineConfig`."""
-        any_legacy = any(
-            arg is not None for arg in (fmt, options, kdf, ot_group, rng)
-        )
-        if any_legacy:
-            warnings.warn(
-                "PrivateInferenceService(fmt=..., options=..., ...) is "
-                "deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        options = options or CompileOptions(activation="cordic", output="argmax")
-        config_kwargs = dict(
-            activation=options.activation,
-            output=options.output,
-            honor_sparsity=options.honor_sparsity,
-            # only seed-era call sites get the record-by-default cap;
-            # bare construction matches EngineConfig()'s opt-in default
-            history_limit=_LEGACY_HISTORY_LIMIT if any_legacy else 0,
-        )
-        if fmt is not None:
-            config_kwargs["fmt"] = fmt
-        if kdf is not None:
-            config_kwargs["kdf"] = kdf
-        if ot_group is not None:
-            config_kwargs["ot_group"] = ot_group
-        if rng is not None:
-            config_kwargs["rng"] = rng
-        return EngineConfig(**config_kwargs)
 
     @property
     def kdf_name(self) -> str:
@@ -304,7 +223,6 @@ class PrivateInferenceService:
             kdf=self._kdf,
             ot_group=self.config.ot_group,
             rng=self.config.rng,
-            vectorized=self.config.vectorized,
             refill=self.config.pool_refill,
             low_watermark=self.config.pool_low_watermark,
         )
@@ -320,9 +238,7 @@ class PrivateInferenceService:
         """Consistent snapshot of retained inference records (newest last).
 
         Backed by a deque capped at ``EngineConfig.history_limit`` (0
-        retains nothing; the legacy constructor shim caps at 512 instead
-        of the seed's unbounded list).  Returned as a list so seed-era
-        slicing keeps working; copied under the service lock so readers
+        retains nothing).  Copied under the service lock so readers
         never observe a half-applied batch from ``infer_many``'s pool.
         """
         with self._lock:
@@ -334,12 +250,10 @@ class PrivateInferenceService:
         with self._lock:
             snapshot: Dict[str, object] = dict(self._stats)
             snapshot["by_backend"] = dict(self._stats["by_backend"])
-            snapshot["inflight"] = self._inflight
-            snapshot["max_inflight"] = self.config.max_inflight
-            snapshot["draining"] = self._closing
             breakers = dict(self._breakers)
             pool = self._pool
-        # pool and breakers take their own locks; call outside ours
+        # the gate, pool and breakers take their own locks; call outside ours
+        snapshot.update(self._admission.stats())
         if breakers:
             snapshot["breakers"] = {
                 name: breaker.stats() for name, breaker in breakers.items()
@@ -355,30 +269,13 @@ class PrivateInferenceService:
 
         Raises:
             ServiceDrainingError: :meth:`close` has begun.
-            ServiceOverloadedError: the budget is full (permanent under
-                the retry taxonomy — retrying into overload only deepens
-                it).
+            ServiceOverloadedError: the budget is full.
         """
-        limit = self.config.max_inflight
-        with self._lock:
-            if self._closing:
-                raise ServiceDrainingError(
-                    "service is draining: close() has begun and no new "
-                    "requests are admitted"
-                )
-            if limit and self._inflight + n > limit:
-                self._stats["shed_requests"] += n
-                raise ServiceOverloadedError(
-                    f"in-flight budget full: {self._inflight} admitted + "
-                    f"{n} requested > max_inflight={limit}; shedding"
-                )
-            self._inflight += n
+        self._admission.admit(n)
 
     def _release(self, n: int) -> None:
         """Return ``n`` admission slots and wake any waiting drain."""
-        with self._lock:
-            self._inflight -= n
-            self._cond.notify_all()
+        self._admission.release(n)
 
     def close(self, drain_timeout_s: float = 30.0) -> None:
         """Drain in-flight requests, then release serving resources.
@@ -389,21 +286,8 @@ class PrivateInferenceService:
         during the wait count as ``drained_requests``, any still running
         when the grace expires as ``aborted_requests``.  Idempotent.
         """
-        import time
-
+        self._admission.drain(drain_timeout_s)
         with self._lock:
-            already = self._closing
-            self._closing = True
-            pending = self._inflight
-            if not already:
-                deadline = time.monotonic() + max(drain_timeout_s, 0.0)
-                while self._inflight > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                self._stats["drained_requests"] += pending - self._inflight
-                self._stats["aborted_requests"] += self._inflight
             pool = self._pool
         if pool is not None:
             pool.close()
@@ -439,7 +323,6 @@ class PrivateInferenceService:
             kdf=self._kdf,
             ot_group=self.config.ot_group,
             rng=self.config.rng,
-            vectorized=self.config.vectorized,
             channel_factory=self._channel_factory,
             request_timeout_s=self.config.request_timeout_s,
         )
@@ -599,7 +482,6 @@ class PrivateInferenceService:
     def infer(
         self,
         sample: np.ndarray,
-        outsourced: bool = False,
         backend: Optional[str] = None,
         request_id: Optional[str] = None,
     ) -> InferenceResult:
@@ -607,23 +489,11 @@ class PrivateInferenceService:
 
         Args:
             sample: the client's raw feature vector.
-            outsourced: deprecated — equivalent to ``backend="outsourced"``
-                (the Sec. 3.3 XOR-share proxy flow).
-            backend: execution flow override (None = config default).
+            backend: execution flow override (None = config default),
+                e.g. ``"outsourced"`` for the Sec. 3.3 XOR-share proxy
+                flow.
             request_id: opaque tag echoed on the result.
         """
-        if outsourced:
-            if backend is not None and backend != "outsourced":
-                raise CompileError(
-                    f"outsourced=True conflicts with backend={backend!r}"
-                )
-            warnings.warn(
-                'infer(sample, outsourced=True) is deprecated; use '
-                'backend="outsourced"',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = "outsourced"
         return self.execute(
             InferenceRequest(
                 sample=np.asarray(sample), request_id=request_id, backend=backend
@@ -639,20 +509,18 @@ class PrivateInferenceService:
     ) -> List[int]:
         """Serve eligible requests through one batched evaluation pass.
 
-        Requests targeting the (vectorized) two-party backend are pushed
-        through ``TwoPartyBackend.run_many`` — one ``garble_many`` pass
-        for pool misses and one ``evaluate_many`` schedule walk for the
-        whole group — instead of per-request scalar protocol runs.
-        Fills ``outcomes``/``errors`` in place for the requests it
-        handles and returns the indices still pending (non-two-party
-        requests, or the whole group when batching is unavailable or the
-        batched run itself fails — per-request isolation then falls back
-        to the scalar path).
+        Requests targeting the two-party backend are pushed through
+        ``TwoPartyBackend.run_many`` — one ``garble_many`` pass for pool
+        misses and one ``evaluate_many`` schedule walk for the whole
+        group — instead of per-request protocol runs.  Fills
+        ``outcomes``/``errors`` in place for the requests it handles and
+        returns the indices still pending (non-two-party requests, or the
+        whole group when batching is unavailable or the batched run
+        itself fails — per-request isolation then falls back to
+        request-at-a-time serving).
         """
         n = len(normalized)
         everything = list(range(n))
-        if not self.config.vectorized:
-            return everything
         eligible = [
             i for i, r in enumerate(normalized)
             if (r.backend or self.config.backend) == "two_party"
@@ -666,8 +534,8 @@ class PrivateInferenceService:
         breaker = self._breaker("two_party")
         if breaker.state == "open":
             # breaker open: shed the batched fast path — the group falls
-            # through to per-request scalar serving, which degrades to
-            # cold garbling under the same breaker
+            # through to per-request serving, which degrades to cold
+            # garbling under the same breaker
             with self._lock:
                 self._stats["degraded"] += 1
             return everything
@@ -693,9 +561,9 @@ class PrivateInferenceService:
                 )
             except Exception as exc:
                 # a batch-level failure must not fail every request in
-                # it: retry the group request-at-a-time on the scalar
-                # path, where errors isolate per request (and transient
-                # faults get the retry policy)
+                # it: retry the group request-at-a-time, where errors
+                # isolate per request (and transient faults get the
+                # retry policy)
                 breaker.record_failure()
                 if is_transient(exc):
                     with self._lock:
@@ -718,10 +586,10 @@ class PrivateInferenceService:
         """Serve a batch of requests concurrently.
 
         GC gives no per-sample batching discount (Fig. 6's point), but
-        the *engine* work batches: requests served by the vectorized
-        two-party backend share one ``evaluate_many`` pass over the
-        level schedule (and one ``garble_many`` pass for pool misses)
-        instead of ``k`` thread-pooled scalar protocol runs.  Requests
+        the *engine* work batches: requests served by the two-party
+        backend share one ``evaluate_many`` pass over the level schedule
+        (and one ``garble_many`` pass for pool misses) instead of ``k``
+        thread-pooled protocol runs.  Requests
         on other backends run on a thread pool of ``max_workers`` as
         before.  Results come back in request order.
 
@@ -730,7 +598,7 @@ class PrivateInferenceService:
             max_workers: thread-pool width for non-batched requests.
             return_errors: see below.
             batch: ``None`` (default) batches when >= 2 requests target
-                the vectorized two-party backend; ``True`` forces the
+                the two-party backend; ``True`` forces the
                 batched path even for a single request; ``False``
                 disables it (pure thread-pool serving).
 

@@ -44,15 +44,10 @@ import multiprocessing.context
 import multiprocessing.process
 import socket
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    EngineError,
-    ProtocolError,
-    ServiceDrainingError,
-    ServiceOverloadedError,
-)
+from ..errors import EngineError, ProtocolError
+from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CircuitBreaker
 from .supervisor import ShardSupervisor
 from .worker import recv_ctl, send_ctl, serve_connection
@@ -216,22 +211,17 @@ class ShardedService:
         self._rpc_timeout_s = rpc_timeout_s
         self._probe_timeout_s = probe_timeout_s
         self._prepare_count = int(prepare)
-        self._max_inflight = int(max_inflight)
         self._drain_timeout_s = float(drain_timeout_s)
+        self._admission = AdmissionGate(
+            max_inflight, subject="sharded service", unit="batches"
+        )
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._inflight = 0
-        self._closing = False
-        self._closed = False
         self._fallback: Optional[Any] = None
         self._stats: Dict[str, int] = {
             "requests": 0,
             "degraded_requests": 0,
             "reroutes": 0,
             "restarts": 0,
-            "shed_requests": 0,
-            "drained_requests": 0,
-            "aborted_requests": 0,
         }
         self._context = multiprocessing.get_context("fork")
         self._shards: List[_Shard] = []
@@ -377,9 +367,8 @@ class ShardedService:
         backoff until the restart budget runs out.
         """
         shard = self._shards[index]
-        with self._lock:
-            if self._closing:
-                return False
+        if self._admission.draining:
+            return False
         with shard.lock:
             if shard.state not in ("suspect", "restarting"):
                 return False
@@ -456,27 +445,18 @@ class ShardedService:
             raise EngineError(
                 f"request_ids length {len(ids)} != samples length {n}"
             )
+        self._admission.admit(n)
         with self._lock:
-            if self._closing:
-                raise ServiceDrainingError(
-                    "sharded service is draining: close() has begun and no "
-                    "new batches are admitted"
-                )
-            if self._max_inflight and self._inflight + n > self._max_inflight:
-                self._stats["shed_requests"] += n
-                raise ServiceOverloadedError(
-                    f"in-flight budget full: {self._inflight} admitted + "
-                    f"{n} requested > max_inflight={self._max_inflight}; "
-                    "shedding the batch"
-                )
-            self._inflight += n
             self._stats["requests"] += n
         try:
             return self._infer_admitted(samples, ids, n, max_workers)
         finally:
-            with self._lock:
-                self._inflight -= n
-                self._cond.notify_all()
+            self._admission.release(n)
+
+    @property
+    def _inflight(self) -> int:
+        """Requests admitted and not yet finished."""
+        return self._admission.inflight
 
     def _infer_admitted(
         self,
@@ -588,9 +568,7 @@ class ShardedService:
         """Front-end routing counters plus per-shard service rollups."""
         with self._lock:
             snapshot: Dict[str, Any] = dict(self._stats)
-            snapshot["inflight"] = self._inflight
-            snapshot["max_inflight"] = self._max_inflight
-            snapshot["draining"] = self._closing
+        snapshot.update(self._admission.stats())
         snapshot["shards"] = len(self._shards)
         snapshot["live_shards"] = len(self.live_shards())
         per_shard: List[Dict[str, Any]] = []
@@ -664,20 +642,8 @@ class ShardedService:
         grace = (
             self._drain_timeout_s if drain_timeout_s is None else drain_timeout_s
         )
-        with self._lock:
-            if self._closed:
-                return
-            self._closing = True
-            pending = self._inflight
-            deadline = time.monotonic() + max(grace, 0.0)
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            self._stats["drained_requests"] += pending - self._inflight
-            self._stats["aborted_requests"] += self._inflight
-            self._closed = True
+        if not self._admission.drain(grace):
+            return
         supervisor = self._supervisor
         if supervisor is not None:
             supervisor.close()

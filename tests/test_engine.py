@@ -336,49 +336,11 @@ class TestServiceRedesign:
         svc.infer(x[0])
         assert len(svc.history) == 0
 
-    def test_config_and_legacy_kwargs_are_exclusive(self):
+    def test_config_must_be_engine_config(self):
         model, _ = _trained_model(n_features=5, seed=5)
-        with pytest.raises(CompileError):
-            PrivateInferenceService(
-                model, EngineConfig(fmt=FMT), fmt=FMT
-            )
-
-    def test_seed_era_positional_fmt_still_works(self):
-        """PrivateInferenceService(model, fmt) — the seed's signature."""
-        model, x = _trained_model(n_features=5, seed=5)
-        with pytest.warns(DeprecationWarning):
-            svc = PrivateInferenceService(model, FMT)
-        assert svc.config.fmt == FMT
-        assert svc.infer(x[0], backend="simulate").label == \
-            svc.cleartext_label(x[0])
-        with pytest.raises(CompileError, match="twice"):
-            PrivateInferenceService(model, FMT, fmt=FMT)
-        with pytest.raises(CompileError, match="EngineConfig"):
-            PrivateInferenceService(model, {"backend": "simulate"})
-
-    def test_seed_era_fully_positional_construction(self):
-        """All six seed positionals: (model, fmt, options, kdf, ot_group, rng)."""
-        from repro.compile import CompileOptions
-
-        model, x = _trained_model(n_features=5, seed=5)
-        with pytest.warns(DeprecationWarning):
-            svc = PrivateInferenceService(
-                model, FMT,
-                CompileOptions(activation="exact", output="argmax"),
-                None, TEST_GROUP_512, random.Random(11),
-            )
-        assert svc.config.fmt == FMT
-        assert svc.config.activation == "exact"
-        assert svc.config.ot_group is TEST_GROUP_512
-
-    def test_outsourced_flag_conflicts_with_backend(self):
-        model, x = _trained_model(n_features=5, seed=5)
-        svc = PrivateInferenceService(
-            model, EngineConfig(fmt=FMT, activation="exact",
-                                backend="simulate")
-        )
-        with pytest.raises(CompileError, match="conflicts"):
-            svc.infer(x[0], outsourced=True, backend="two_party")
+        for config in ({"backend": "simulate"}, FMT):
+            with pytest.raises(CompileError, match="EngineConfig"):
+                PrivateInferenceService(model, config)
 
     def test_pool_created_cold_until_prepare(self):
         """Construction never garbles; prepare() is the offline phase."""

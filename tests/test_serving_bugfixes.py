@@ -15,6 +15,7 @@ Each test here fails against the PR 1 behavior.
 import random
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,18 +70,34 @@ class TestPoolRefill:
         time.sleep(0.1)
         assert len(pool) == 0 and pool.acquire() is None
 
-    def test_opportunistic_refills_after_drain(self):
+    def test_opportunistic_refills_after_drain(self, monkeypatch):
         """Drain the pool dry; acquires must bring material back."""
+        from repro.engine import pool as pool_module
+
         pool = PregarbledPool(
             _small_circuit(), capacity=2, refill="opportunistic",
             rng=random.Random(1),
         )
         assert pool.warm() == 2
+        # hold every refill thread the pool starts, so the test (not the
+        # scheduler) decides when a refill lands: a refill finishing
+        # before the intended miss would turn it into a hit
+        held = []
+
+        class HeldThread(threading.Thread):
+            def start(self):
+                held.append(self)
+
+        monkeypatch.setattr(
+            pool_module, "threading", SimpleNamespace(Thread=HeldThread)
+        )
         assert pool.acquire() is not None
         assert pool.acquire() is not None
-        # drained; a miss records and triggers an off-thread warm(1)
-        pool.acquire()
-        assert _wait_until(lambda: len(pool) > 0), "pool never refilled"
+        # drained; this acquire is a miss
+        assert pool.acquire() is None
+        assert len(held) == 1  # one refill in flight, never stacked
+        held.pop().run()  # the refill lands only now
+        assert len(pool) > 0, "pool never refilled"
         assert pool.acquire() is not None  # served warm again
         stats = pool.stats()
         assert stats["refills"] >= 1

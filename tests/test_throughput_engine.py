@@ -1,4 +1,4 @@
-"""PR 3 throughput tier: batched evaluation, parallel KDF, fused narrow
+"""Throughput tier: batched evaluation, parallel KDF, fused narrow
 levels, the vectorized folded path, and watermark-driven pool refills.
 
 The load-bearing contracts: every new fast path is *byte-identical* to
@@ -31,9 +31,12 @@ from repro.gc import (
     SequentialSession,
     garble_many,
 )
+from repro.gc.channel import make_channel_pair
 from repro.gc.cipher import _hash_many_fallback
 from repro.gc.fastgarble import garble_copies
+from repro.gc.labels import LabelStore
 from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot_extension import extension_ot
 from repro.gc.protocol import TwoPartySession
 from repro.service import InferenceRequest, PrivateInferenceService
 
@@ -381,38 +384,61 @@ class TestFusedNarrowRunner:
 class TestVectorizedSequential:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_folded_mac_bit_exact_across_engines(self, seed):
-        """ISSUE 3 acceptance: scalar == vectorized == pipelined on the
-        folded MAC core, >= 3 seeds (outputs and wire traffic)."""
+        """The folded session on the MAC core, >= 3 seeds: outputs match
+        the cleartext reference, and every cycle's tables match the
+        scalar ``Garbler`` fed the same rng stream."""
         cell = folded_mac_cell(FMT, fan_in=5)
-        width = cell.core.n_alice
+        core = cell.core
+        width = core.n_alice
         cycles = 5
         alice = [bits_from_int(seed + i, width) for i in range(cycles)]
-        bob = [
-            bits_from_int(2 * i + seed, cell.core.n_bob)
-            for i in range(cycles)
-        ]
-        outcomes = []
-        for kwargs in (
-            {"vectorized": False},
-            {"vectorized": True},
-            {"vectorized": True, "pipelined": True},
-        ):
-            session = SequentialSession(
-                cell, ot_group=TEST_GROUP_512, rng=random.Random(seed),
-                **kwargs,
-            )
-            result = session.run(alice, bob, cycles=cycles)
-            outcomes.append((result.outputs_per_cycle, result.comm))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        # and the protocol agrees with the plaintext reference
-        assert outcomes[0][0] == cell.run(alice, bob, cycles=cycles)
+        bob = [bits_from_int(2 * i + seed, core.n_bob) for i in range(cycles)]
+
+        sent_tables = []
+
+        def recording_channels():
+            alice_end, bob_end, stats = make_channel_pair()
+            send = alice_end.send_bytes
+
+            def send_bytes(data, tag="data"):
+                if tag == "tables":
+                    sent_tables.append(bytes(data))
+                send(data, tag=tag)
+
+            alice_end.send_bytes = send_bytes
+            return alice_end, bob_end, stats
+
+        session = SequentialSession(
+            cell, ot_group=TEST_GROUP_512, rng=random.Random(seed),
+            channel_factory=recording_channels,
+        )
+        result = session.run(alice, bob, cycles=cycles)
+        assert result.outputs_per_cycle == cell.run(alice, bob, cycles=cycles)
+
+        # the scalar oracle, drawing from the rng in the session's order:
+        # cycle i's labels, then cycle i's OT, then cycle i+1's labels
+        rng = random.Random(seed)
+        garbler = Garbler(core, label_store=LabelStore(rng=rng))
+        d_wires = [reg.d_wire for reg in cell.registers]
+        state, tweak, expected = None, 0, []
+        for cycle in range(cycles):
+            garbled = garbler.garble(state_zero_labels=state, tweak_base=tweak)
+            expected.append(garbled.tables_bytes())
+            pairs = [
+                tuple(label.to_bytes(16, "little")
+                      for label in garbler.wire_label_pair(w))
+                for w in core.bob_inputs
+            ]
+            extension_ot(pairs, bob[cycle], group=TEST_GROUP_512, rng=rng)
+            state = garbler.state_zero_labels_out(d_wires)
+            tweak += 2 * len(garbled.tables)
+        assert sent_tables == expected
 
     def test_register_carry_stays_private(self):
-        """No state transfer tags appear on the vectorized path either."""
+        """No state transfer tags appear: register labels stay local."""
         cell = folded_mac_cell(FMT, fan_in=3)
         session = SequentialSession(
-            cell, ot_group=TEST_GROUP_512, rng=random.Random(4),
-            vectorized=True, pipelined=True,
+            cell, ot_group=TEST_GROUP_512, rng=random.Random(4)
         )
         result = session.run(
             [bits_from_int(1, cell.core.n_alice)],

@@ -4,8 +4,9 @@ The contract under test: given the same rng stream, the NumPy engine
 (`Garbler(vectorized=True)` / `FastGarbler` / `FastEvaluator`) and the
 gate-at-a-time reference produce byte-identical tables, labels and
 decode bits, on random netlists and on the compiled Table 3-style DL
-circuits — and every registered backend keeps label parity on both
-engines.
+circuits — and every registered backend, all of which run on the
+vectorized engine, keeps label parity with cleartext (the scalar
+reference enters the sessions only as pre-garbled material).
 """
 
 import random
@@ -32,7 +33,7 @@ from repro.gc import (
 from repro.gc.cipher import FixedKeyAES, HashKDF
 from repro.gc.cutandchoose import _garble_from_seed, verify_opened_copy
 from repro.gc.ot import TEST_GROUP_512
-from repro.gc.protocol import TwoPartySession
+from repro.gc.protocol import Pregarbled, TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 
 FMT = FixedPointFormat(2, 6)
@@ -330,25 +331,30 @@ class TestGarbleMany:
             circuit, rngs=[random.Random(s) for s in seeds]
         )
         for seed, (_, garbled) in zip(seeds, pairs):
-            _, ref = _garble_from_seed(circuit, seed, HashKDF(),
-                                       vectorized=False)
+            ref = Garbler(
+                circuit, kdf=HashKDF(), rng=random.Random(seed)
+            ).garble()
             assert ref.tables_bytes() == garbled.tables_bytes()
+            _, regarbled = _garble_from_seed(circuit, seed, HashKDF())
+            assert regarbled.tables_bytes() == garbled.tables_bytes()
 
     def test_verify_opened_copy_across_engines(self):
-        from repro.gc.cutandchoose import CutAndChooseGarbler
+        """A copy the scalar oracle garbled verifies on the batch engine."""
+        from repro.gc.cutandchoose import OpenedCopy, _commit
 
         circuit = _random_circuit(13)
-        cnc = CutAndChooseGarbler(
-            circuit, copies=3, rng=random.Random(5), vectorized=True
-        )
-        tables = cnc.tables()
-        commitments = cnc.commitments()
-        for opened in cnc.open([0, 2]):
-            for vectorized in (True, False):
-                assert verify_opened_copy(
-                    circuit, opened, commitments[opened.index],
-                    tables[opened.index], vectorized=vectorized,
-                )
+        for index, seed in enumerate([7, 8, 9]):
+            scalar = Garbler(circuit, rng=random.Random(seed)).garble()
+            opened = OpenedCopy(index=index, seed=seed)
+            assert verify_opened_copy(
+                circuit, opened, _commit(seed), scalar.tables_bytes()
+            )
+            # a cheating garbler's tables (one flipped bit) are caught
+            tampered = bytearray(scalar.tables_bytes())
+            tampered[0] ^= 1
+            assert not verify_opened_copy(
+                circuit, opened, _commit(seed), bytes(tampered)
+            )
 
     def test_count_validation(self):
         circuit = _random_circuit(14)
@@ -358,20 +364,32 @@ class TestGarbleMany:
 
 
 class TestSessionAndBackends:
-    def test_vectorized_session_matches_scalar_session(self, compiled_dl):
+    def test_scalar_pregarbled_material_matches_session(self, compiled_dl):
+        """Scalar-oracle tables fed through ``run(pregarbled=...)`` give
+        the session's own outputs and per-tag traffic."""
         compiled, quantized, x = compiled_dl
+        circuit = compiled.circuit
         bits_a = compiled.client_bits(x[0])
         bits_b = compiled.server_bits()
         fast = TwoPartySession(
-            compiled.circuit, ot_group=TEST_GROUP_512,
-            rng=random.Random(21), vectorized=True,
+            circuit, ot_group=TEST_GROUP_512, rng=random.Random(21)
         ).run(bits_a, bits_b)
+        # same rng stream: the scalar garbler draws the labels, the
+        # session then draws the OT randomness
+        rng = random.Random(21)
+        garbler = Garbler(circuit, rng=rng)
+        unit = Pregarbled(
+            circuit=circuit, garbler=garbler, garbled=garbler.garble(),
+            garble_seconds=0.0,
+        )
         slow = TwoPartySession(
-            compiled.circuit, ot_group=TEST_GROUP_512,
-            rng=random.Random(21), vectorized=False,
-        ).run(bits_a, bits_b)
+            circuit, ot_group=TEST_GROUP_512, rng=rng
+        ).run(bits_a, bits_b, pregarbled=unit)
         assert fast.outputs == slow.outputs
         assert fast.comm == slow.comm  # identical wire traffic
+        assert compiled.decode_output(slow.outputs) == int(
+            quantized.predict(x[0][None])[0]
+        )
 
     def test_pregarble_many_units_serve_requests(self, compiled_dl):
         compiled, quantized, x = compiled_dl
@@ -389,19 +407,15 @@ class TestSessionAndBackends:
                 quantized.predict(x[i][None])[0]
             )
 
-    @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize(
         "name",
         ["two_party", "outsourced", "folded", "cut_and_choose", "simulate"],
     )
-    def test_label_parity_all_backends_both_engines(
-        self, compiled_dl, name, vectorized
-    ):
-        """All five backends agree with cleartext on either engine."""
+    def test_label_parity_all_backends(self, compiled_dl, name):
+        """All five backends agree with cleartext."""
         compiled, quantized, x = compiled_dl
         backend = get_backend(
-            name, ot_group=TEST_GROUP_512, rng=random.Random(30),
-            vectorized=vectorized,
+            name, ot_group=TEST_GROUP_512, rng=random.Random(30)
         )
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[1]),
